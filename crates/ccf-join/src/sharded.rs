@@ -3,9 +3,9 @@
 //! A [`ShardedFilterBank`] is the concurrent counterpart of
 //! [`FilterBank`](crate::filters::FilterBank): per table
 //! it holds a [`ShardedCcf`] instead of a single filter, so the bank is *built* in
-//! parallel (tables fan out over threads, each table's rows absorbed via the sharded
-//! batch-insert path) and *probed* in parallel (the [`ProbeBank`] impl routes probe
-//! batches through the sharded batch kernels, which fan out over per-shard workers).
+//! parallel (tables fan out over the shared fan-out pool, each table's rows absorbed
+//! via the sharded batch-insert path on the same pool) and *probed* in parallel (the
+//! [`ProbeBank`] impl routes probe batches through the sharded batch kernels).
 //! Shards are sized for their keyspace slice with `auto_grow` enabled, so a skewed
 //! table cannot fail the build — a hot shard just doubles under its own lock.
 //!
@@ -32,8 +32,8 @@ use crate::reduction::{evaluate_workload_with, InstanceResult, ProbeBank};
 pub struct ShardConfig {
     /// Shards per table filter.
     pub num_shards: usize,
-    /// Worker-thread cap for batch operations *within* one table's filter, and for
-    /// the cross-table build fan-out.
+    /// Per-batch thread cap for batch operations *within* one table's filter, and
+    /// for the cross-table build fan-out.
     pub threads: usize,
 }
 
@@ -79,12 +79,11 @@ pub struct ShardedFilterBank {
 }
 
 impl ShardedFilterBank {
-    /// Build sharded filters for every table, fanning the per-table builds out over
-    /// up to `shard_config.threads` workers (via the shared
-    /// [`ccf_shard::fan_out_indexed`] primitive). When the cross-table build is
-    /// already parallel, each table's batch inserts run single-threaded — otherwise
-    /// the two fan-out levels would oversubscribe the machine with up to `threads²`
-    /// workers for no added parallelism.
+    /// Build sharded filters for every table, running the per-table builds on up to
+    /// `shard_config.threads` threads of the shared [`ccf_shard::FanOutPool`]. Each
+    /// table's batch inserts run on that same pool with the full thread budget: the
+    /// pool has a fixed number of helpers, so the nested fan-out cannot
+    /// oversubscribe the machine.
     pub fn build(db: &SyntheticImdb, config: FilterConfig, shard_config: ShardConfig) -> Self {
         Self::build_with_telemetry(db, config, shard_config, &Telemetry::disabled())
     }
@@ -99,68 +98,20 @@ impl ShardedFilterBank {
         shard_config: ShardConfig,
         telemetry: &Telemetry,
     ) -> Self {
-        let ids = TableId::ALL;
-        let workers = shard_config.threads.clamp(1, ids.len());
-        let insert_threads = if workers > 1 { 1 } else { shard_config.threads };
-        let mut built = ccf_shard::fan_out_indexed(ids.len(), workers, |t| {
-            Some(Self::build_table(
-                db.table(ids[t]),
-                config,
-                shard_config,
-                insert_threads,
-                telemetry,
-            ))
-        });
-        built.sort_by_key(|(t, _)| *t);
+        // Pool helpers outlive this call, so each table's build owns its inputs.
+        let inputs: Vec<TableInput> = TableId::ALL
+            .iter()
+            .map(|&id| TableInput::gather(db.table(id), config))
+            .collect();
+        let telemetry = telemetry.clone();
+        let built =
+            ccf_shard::FanOutPool::global().run(inputs.len(), shard_config.threads, move |t| {
+                Some(inputs[t].build(config, shard_config, &telemetry))
+            });
         Self {
             config,
             shard_config,
             tables: built.into_iter().map(|(_, filters)| filters).collect(),
-        }
-    }
-
-    fn build_table(
-        table: &SyntheticTable,
-        config: FilterConfig,
-        shard_config: ShardConfig,
-        insert_threads: usize,
-        telemetry: &Telemetry,
-    ) -> ShardedTableFilters {
-        let labels = [("bank", "sharded"), ("table", table.id.name())];
-        let _timer = bank_build_timer(telemetry, &labels);
-        // Start from the sequential sizing, give each shard its keyspace slice (the
-        // variants round shard bucket counts up to powers of two, so total capacity
-        // never shrinks), and let auto_grow absorb routing imbalance.
-        let full = config.params_for(table);
-        let shard_params = CcfParams {
-            num_buckets: full
-                .num_buckets
-                .div_ceil(shard_config.num_shards)
-                .next_power_of_two(),
-            ..full
-        }
-        .with_auto_grow();
-        // Insert with `insert_threads` (1 when the cross-table build already fans
-        // out), then hand the filter to probing with the full thread budget.
-        let mut ccf = ShardedCcf::new(config.variant, shard_params, shard_config.num_shards)
-            .with_threads(insert_threads);
-        if telemetry.is_enabled() {
-            ccf.attach_telemetry(telemetry, &labels);
-        }
-        let rows: Vec<(u64, Vec<u64>)> = (0..table.num_rows())
-            .map(|row| (table.join_keys[row], ccf_attrs_for_row(table, row)))
-            .collect();
-        let failed_rows = ccf
-            .insert_batch(&rows)
-            .iter()
-            .filter(|o| o.is_err())
-            .count();
-        ccf.set_threads(shard_config.threads);
-        ShardedTableFilters {
-            table: table.id,
-            ccf,
-            failed_rows,
-            probes: ProbeCounters::resolve(telemetry, &labels),
         }
     }
 
@@ -234,6 +185,64 @@ impl ShardedFilterBank {
         A: AsRef<[u64]> + Sync,
     {
         self.table(id).ccf.delete_row_batch(rows)
+    }
+}
+
+/// One table's build inputs, materialised so a pool helper can build from them.
+struct TableInput {
+    table: TableId,
+    /// The sequential bank's parameters for the table.
+    params: CcfParams,
+    rows: Vec<(u64, Vec<u64>)>,
+}
+
+impl TableInput {
+    fn gather(table: &SyntheticTable, config: FilterConfig) -> Self {
+        Self {
+            table: table.id,
+            params: config.params_for(table),
+            rows: (0..table.num_rows())
+                .map(|row| (table.join_keys[row], ccf_attrs_for_row(table, row)))
+                .collect(),
+        }
+    }
+
+    fn build(
+        &self,
+        config: FilterConfig,
+        shard_config: ShardConfig,
+        telemetry: &Telemetry,
+    ) -> ShardedTableFilters {
+        let labels = [("bank", "sharded"), ("table", self.table.name())];
+        let _timer = bank_build_timer(telemetry, &labels);
+        // Start from the sequential sizing, give each shard its keyspace slice (the
+        // variants round shard bucket counts up to powers of two, so total capacity
+        // never shrinks), and let auto_grow absorb routing imbalance.
+        let shard_params = CcfParams {
+            num_buckets: self
+                .params
+                .num_buckets
+                .div_ceil(shard_config.num_shards)
+                .next_power_of_two(),
+            ..self.params
+        }
+        .with_auto_grow();
+        let mut ccf = ShardedCcf::new(config.variant, shard_params, shard_config.num_shards)
+            .with_threads(shard_config.threads);
+        if telemetry.is_enabled() {
+            ccf.attach_telemetry(telemetry, &labels);
+        }
+        let failed_rows = ccf
+            .insert_batch(&self.rows)
+            .iter()
+            .filter(|o| o.is_err())
+            .count();
+        ShardedTableFilters {
+            table: self.table,
+            ccf,
+            failed_rows,
+            probes: ProbeCounters::resolve(telemetry, &labels),
+        }
     }
 }
 

@@ -75,10 +75,7 @@ impl Tenant {
     /// Batched predicate query, in input order.
     pub fn query_batch(&self, keys: &[u64], pred: &Predicate) -> Vec<bool> {
         match self {
-            Tenant::Single(f) => {
-                let f = f.read().expect(POISONED);
-                keys.iter().map(|&k| f.query(k, pred)).collect()
-            }
+            Tenant::Single(f) => f.read().expect(POISONED).query_batch(keys, pred),
             Tenant::Sharded(s) => s.query_batch(keys, pred),
         }
     }
@@ -86,10 +83,7 @@ impl Tenant {
     /// Batched key-only membership, in input order.
     pub fn contains_batch(&self, keys: &[u64]) -> Vec<bool> {
         match self {
-            Tenant::Single(f) => {
-                let f = f.read().expect(POISONED);
-                keys.iter().map(|&k| f.contains_key(k)).collect()
-            }
+            Tenant::Single(f) => f.read().expect(POISONED).contains_key_batch(keys),
             Tenant::Sharded(s) => s.contains_key_batch(keys),
         }
     }
@@ -180,7 +174,8 @@ mod tests {
     fn single_and_sharded_tenants_agree_with_in_process_filters() {
         let rows: Vec<(u64, Vec<u64>)> = (0..500u64).map(|k| (k, vec![k % 5, k % 9])).collect();
         let keys: Vec<u64> = (0..1000).collect();
-        let single = Tenant::from_spec(&spec("id=1,buckets=256,seed=5")).unwrap();
+        let single_spec = spec("id=1,buckets=256,seed=5");
+        let single = Tenant::from_spec(&single_spec).unwrap();
         let sharded = Tenant::from_spec(&spec("id=2,buckets=64,shards=4,seed=5")).unwrap();
         for tenant in [&single, &sharded] {
             let outcomes = tenant.insert_batch(&rows);
@@ -188,7 +183,6 @@ mod tests {
             let pred = tenant.predicate().and_eq(0, 3);
             let hits = tenant.query_batch(&keys, &pred);
             let members = tenant.contains_batch(&keys);
-            // In-process reference: same params, same insert stream, per-key loop.
             for (i, &k) in keys.iter().enumerate() {
                 if k < 500 {
                     assert!(members[i], "lost key {k}");
@@ -199,6 +193,26 @@ mod tests {
             }
             assert!(tenant.stats().occupied_entries() > 0);
         }
+        // In-process reference: same params, same insert stream, per-key loop.
+        let mut reference = AnyCcf::try_new(single_spec.variant, single_spec.params).unwrap();
+        for (k, a) in &rows {
+            reference.insert_row(*k, a).unwrap();
+        }
+        let pred = reference.predicate().and_eq(0, 3);
+        assert_eq!(
+            single.query_batch(&keys, &pred),
+            keys.iter()
+                .map(|&k| reference.query(k, &pred))
+                .collect::<Vec<_>>(),
+            "single-filter tenant query batches must match per-key queries"
+        );
+        assert_eq!(
+            single.contains_batch(&keys),
+            keys.iter()
+                .map(|&k| reference.contains_key(k))
+                .collect::<Vec<_>>(),
+            "single-filter tenant contains batches must match per-key lookups"
+        );
     }
 
     #[test]

@@ -8,17 +8,23 @@
 //! * writers block only the one shard they touch, and per-shard `auto_grow` doublings
 //!   happen under that single shard's write lock while the other `N − 1` shards keep
 //!   serving;
-//! * batch operations route keys to per-shard chunks and fan the chunks out over
-//!   [`std::thread::scope`] workers — no dependencies, no global stop-the-world.
+//! * batch operations route keys to per-shard chunks and run the chunks on a
+//!   [`FanOutPool`]: the calling thread works through the chunks itself while up to
+//!   `threads − 1` of the pool's long-lived helpers take the ones it has not reached
+//!   yet — no thread is created per batch, and no global stop-the-world;
+//! * a thread whose next chunk's shard is locked by another batch puts that chunk
+//!   off and runs it after the batch's other chunks, so two batches walking the
+//!   shards in the same order do not queue behind each other shard after shard.
 //!
 //! **Determinism contract.** Partitioning preserves each key's relative order within
-//! its shard, shards share no state, and every shard runs the PR 2 chunked two-pass
-//! batch kernels. Batch results are therefore *bit-identical* to a sequential per-key
-//! loop over the same `ShardedCcf`, regardless of shard count, worker count, or how
-//! the scheduler interleaves workers. Inserts are deterministic too: the state after
-//! `insert_batch` equals the state after inserting the same rows one by one.
+//! its shard, shards share no state, and every shard runs the chunked two-pass batch
+//! kernels. Batch results are therefore *bit-identical* to a sequential per-key loop
+//! over the same `ShardedCcf`, regardless of shard count, thread cap, pool size, or
+//! which thread happens to run which chunk, in which order. Inserts are deterministic
+//! too: the state after `insert_batch` equals the state after inserting the same rows
+//! one by one.
 
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 
 use ccf_core::{
     AnyCcf, CcfParams, ConditionalFilter, DeleteFailure, FilterKey, InsertFailure, InsertOutcome,
@@ -29,7 +35,7 @@ use ccf_hash::salted::purpose;
 use ccf_hash::{HashFamily, SaltedHasher};
 use ccf_telemetry::{buckets, Histogram, Telemetry};
 
-use crate::fanout::fan_out_indexed;
+use crate::fanout::{Attempt, FanOutPool};
 use crate::router::ShardRouter;
 use crate::stats::{ShardSnapshot, ShardStats};
 
@@ -112,14 +118,62 @@ impl ServiceInstruments {
 pub struct ShardedCcf {
     router: ShardRouter,
     key_lower: SaltedHasher,
-    shards: Vec<RwLock<AnyCcf>>,
+    /// Shared with the pool helpers running this service's batch chunks.
+    shards: Arc<[RwLock<AnyCcf>]>,
     threads: usize,
+    pool: Arc<FanOutPool>,
     instruments: ServiceInstruments,
 }
 
 /// Read guard errors are invariant violations (a worker panicked while holding the
 /// write lock); surface them with context instead of a bare unwrap.
 const POISONED: &str = "shard lock poisoned: a writer panicked mid-mutation";
+
+/// One shard's slice of a write batch — lowered keys plus their attribute rows, laid
+/// out flat — owned so a pool helper can apply it.
+#[derive(Debug, Default)]
+struct WriteChunk {
+    keys: Vec<u64>,
+    attrs: Vec<u64>,
+    /// `attrs[attr_ends[i - 1]..attr_ends[i]]` is row `i`'s attribute slice.
+    attr_ends: Vec<usize>,
+}
+
+impl WriteChunk {
+    fn push(&mut self, key: u64, attrs: &[u64]) {
+        self.keys.push(key);
+        self.attrs.extend_from_slice(attrs);
+        self.attr_ends.push(self.attrs.len());
+    }
+
+    fn rows(&self) -> impl Iterator<Item = (u64, &[u64])> {
+        let starts = std::iter::once(0).chain(self.attr_ends.iter().copied());
+        self.keys
+            .iter()
+            .zip(starts.zip(&self.attr_ends))
+            .map(|(&key, (start, &end))| (key, &self.attrs[start..end]))
+    }
+}
+
+/// Read-lock `shard`, or `None` when a writer holds or awaits it and the caller
+/// would rather do its other shards first than block (`may_block` false).
+fn read_shard(shard: &RwLock<AnyCcf>, may_block: bool) -> Option<RwLockReadGuard<'_, AnyCcf>> {
+    match shard.try_read() {
+        Ok(filter) => Some(filter),
+        Err(TryLockError::WouldBlock) if !may_block => None,
+        Err(_) => Some(shard.read().expect(POISONED)),
+    }
+}
+
+/// Write-lock `shard`, or `None` when another thread holds it and the caller
+/// would rather do its other shards first than block (`may_block` false).
+fn write_shard(shard: &RwLock<AnyCcf>, may_block: bool) -> Option<RwLockWriteGuard<'_, AnyCcf>> {
+    match shard.try_write() {
+        Ok(filter) => Some(filter),
+        Err(TryLockError::WouldBlock) if !may_block => None,
+        Err(_) => Some(shard.write().expect(POISONED)),
+    }
+}
 
 impl ShardedCcf {
     /// Build a service of `num_shards` identical shards of the given variant. Each
@@ -147,15 +201,9 @@ impl ShardedCcf {
             return Err(ParamsError::ZeroShards);
         }
         let shards = (0..num_shards)
-            .map(|_| AnyCcf::try_new(kind, shard_params).map(RwLock::new))
+            .map(|_| AnyCcf::try_new(kind, shard_params))
             .collect::<Result<_, _>>()?;
-        Ok(Self {
-            router: ShardRouter::new(shard_params.seed, num_shards),
-            key_lower: HashFamily::new(shard_params.seed).hasher(purpose::KEY_LOWER),
-            shards,
-            threads: num_shards,
-            instruments: ServiceInstruments::default(),
-        })
+        Ok(Self::from_shards(shards, shard_params.seed))
     }
 
     /// Build a service sized for a *service-wide* expected entry count at the target
@@ -194,6 +242,7 @@ impl ShardedCcf {
             key_lower: HashFamily::new(router_seed).hasher(purpose::KEY_LOWER),
             shards: filters.into_iter().map(RwLock::new).collect(),
             threads: num_shards.max(1),
+            pool: FanOutPool::global(),
             instruments: ServiceInstruments::default(),
         }
     }
@@ -211,12 +260,14 @@ impl ShardedCcf {
         } else {
             ServiceInstruments::default()
         };
-        for (idx, shard) in self.shards.iter_mut().enumerate() {
+        // `&mut self` means no batch of ours is running, so these write locks never
+        // wait.
+        for (idx, shard) in self.shards.iter().enumerate() {
             let shard_label = idx.to_string();
             let mut labels = extra.to_vec();
             labels.push(("shard", shard_label.as_str()));
             shard
-                .get_mut()
+                .write()
                 .expect(POISONED)
                 .attach_telemetry(telemetry, &labels);
         }
@@ -241,22 +292,32 @@ impl ShardedCcf {
         self.with_shard(0, |f| Predicate::for_params(f.params()))
     }
 
-    /// Cap the number of worker threads batch operations fan out over (default: one
-    /// per shard). A cap of 1 makes every batch operation run sequentially on the
-    /// calling thread — useful as the reference in equivalence tests.
+    /// Cap the number of threads one batch operation runs on, the calling thread
+    /// included (default: one per shard). The calling thread takes shard chunks
+    /// itself; up to `threads − 1` helpers of the fan-out pool take the rest. A cap
+    /// of 1 makes every batch operation run sequentially on the calling thread —
+    /// useful as the reference in equivalence tests.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.set_threads(threads);
         self
     }
 
-    /// Set the worker-thread cap (see [`ShardedCcf::with_threads`]).
+    /// Set the per-batch thread cap (see [`ShardedCcf::with_threads`]).
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.clamp(1, self.shards.len());
     }
 
-    /// The worker-thread cap for batch operations.
+    /// The per-batch thread cap.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Run batch chunks on `pool` instead of the process-wide
+    /// [`FanOutPool::global`] — e.g. to test a service on a pool of a given size.
+    /// Answers do not depend on the pool.
+    pub fn with_pool(mut self, pool: Arc<FanOutPool>) -> Self {
+        self.pool = pool;
+        self
     }
 
     /// Number of shards.
@@ -333,25 +394,36 @@ impl ShardedCcf {
             .contains_key_prehashed(key)
     }
 
-    /// How many workers a batch over the given per-shard chunk sizes should use.
+    /// How many threads a batch over `non_empty_chunks` shard chunks should use.
     fn workers_for(&self, non_empty_chunks: usize) -> usize {
         self.threads.min(non_empty_chunks).max(1)
     }
 
-    /// Fan per-shard chunks out over [`fan_out_indexed`] workers, read-locking each
+    /// Run `probe` over each non-empty per-shard chunk on the pool, read-locking each
     /// shard once per chunk. Returns per-shard results.
-    fn fan_out_read<T: Send>(
+    fn fan_out_read<T: Send + 'static>(
         &self,
-        chunks: &[Vec<u64>],
-        probe: impl Fn(&AnyCcf, &[u64]) -> Vec<T> + Sync,
+        chunks: Vec<Vec<u64>>,
+        probe: impl Fn(&AnyCcf, &[u64]) -> Vec<T> + Send + Sync + 'static,
     ) -> Vec<Vec<T>> {
+        let num_shards = chunks.len();
         let non_empty = chunks.iter().filter(|c| !c.is_empty()).count();
-        let produced = fan_out_indexed(chunks.len(), self.workers_for(non_empty), |s| {
-            (!chunks[s].is_empty())
-                .then(|| probe(&self.shards[s].read().expect(POISONED), &chunks[s]))
-        });
+        let shards = Arc::clone(&self.shards);
+        let produced = self.pool.run_or_defer(
+            num_shards,
+            self.workers_for(non_empty),
+            move |s, may_block| {
+                if chunks[s].is_empty() {
+                    return Attempt::Ran(None);
+                }
+                match read_shard(&shards[s], may_block) {
+                    Some(filter) => Attempt::Ran(Some(probe(&filter, &chunks[s]))),
+                    None => Attempt::Later,
+                }
+            },
+        );
         let mut results: Vec<Vec<T>> = Vec::new();
-        results.resize_with(chunks.len(), Vec::new);
+        results.resize_with(num_shards, Vec::new);
         for (s, shard_results) in produced {
             results[s] = shard_results;
         }
@@ -359,16 +431,17 @@ impl ShardedCcf {
     }
 
     /// Batched predicate query. Bit-identical to a per-key [`ShardedCcf::query`] loop
-    /// (see the module docs); runs shards on up to [`ShardedCcf::threads`] workers.
+    /// (see the module docs); runs shards on up to [`ShardedCcf::threads`] threads.
     /// Keys are lowered once up front (`u64` batches copy-free); partitioning and the
     /// per-shard prehashed batch kernels consume the lowered material.
     pub fn query_batch<K: FilterKey>(&self, keys: &[K], pred: &Predicate) -> Vec<bool> {
         let _timer = self.instruments.query_batch.latency.start_timer();
         self.instruments.query_batch.keys.observe_len(keys.len());
         let lowered = K::lower_batch(keys, &self.key_lower);
-        let part = self.router.partition(&lowered);
-        let results = self.fan_out_read(&part.chunks, |filter, chunk| {
-            filter.query_batch_prehashed(chunk, pred)
+        let mut part = self.router.partition(&lowered);
+        let pred = pred.clone();
+        let results = self.fan_out_read(std::mem::take(&mut part.chunks), move |filter, chunk| {
+            filter.query_batch_prehashed(chunk, &pred)
         });
         part.scatter(&results, lowered.len())
     }
@@ -382,56 +455,69 @@ impl ShardedCcf {
             .keys
             .observe_len(keys.len());
         let lowered = K::lower_batch(keys, &self.key_lower);
-        let part = self.router.partition(&lowered);
-        let results = self.fan_out_read(&part.chunks, |filter, chunk| {
+        let mut part = self.router.partition(&lowered);
+        let results = self.fan_out_read(std::mem::take(&mut part.chunks), |filter, chunk| {
             filter.contains_key_batch_prehashed(chunk)
         });
         part.scatter(&results, lowered.len())
     }
 
-    /// Route already-lowered keys to their shards and apply `op` per key, each shard
-    /// processing its keys in relative input order under one write-lock acquisition,
-    /// fanned out over up to [`ShardedCcf::threads`] workers. Per-key results come
-    /// back in input order, and because shards share no state and per-shard order is
-    /// preserved, the resulting filter state (and every result) is identical to a
-    /// sequential per-key loop — the scaffolding shared by batched inserts and
-    /// deletes.
-    fn fan_out_write<T: Send>(
+    /// Route lowered rows to their shards and apply `op` per row, each shard
+    /// processing its rows in relative input order under one write-lock acquisition,
+    /// on up to [`ShardedCcf::threads`] threads. Per-row results come back in input
+    /// order, and because shards share no state and per-shard order is preserved,
+    /// the resulting filter state (and every result) is identical to a sequential
+    /// per-row loop — the scaffolding shared by batched inserts and deletes.
+    fn fan_out_write<'a, T: Send + 'static>(
         &self,
-        lowered: &[u64],
-        op: impl Fn(&mut AnyCcf, usize) -> T + Sync,
+        rows: impl ExactSizeIterator<Item = (u64, &'a [u64])>,
+        op: impl Fn(&mut AnyCcf, u64, &[u64]) -> T + Send + Sync + 'static,
     ) -> Vec<T> {
-        let mut row_indices: Vec<Vec<usize>> = vec![Vec::new(); self.num_shards()];
-        for (i, &key) in lowered.iter().enumerate() {
-            row_indices[self.router.shard_of(key)].push(i);
+        let mut route = Vec::with_capacity(rows.len());
+        let mut chunks: Vec<WriteChunk> = Vec::new();
+        chunks.resize_with(self.num_shards(), WriteChunk::default);
+        for (key, attrs) in rows {
+            let s = self.router.shard_of(key);
+            route.push(s);
+            chunks[s].push(key, attrs);
         }
-        let non_empty = row_indices.iter().filter(|c| !c.is_empty()).count();
-        let produced = fan_out_indexed(row_indices.len(), self.workers_for(non_empty), |s| {
-            let indices = &row_indices[s];
-            (!indices.is_empty()).then(|| {
-                let mut guard = self.shards[s].write().expect(POISONED);
-                indices
-                    .iter()
-                    .map(|&i| (i, op(&mut guard, i)))
-                    .collect::<Vec<_>>()
-            })
-        });
-        let mut results: Vec<Option<T>> = Vec::new();
-        results.resize_with(lowered.len(), || None);
-        for (_, shard_outcomes) in produced {
-            for (i, outcome) in shard_outcomes {
-                results[i] = Some(outcome);
-            }
+        let num_shards = chunks.len();
+        let non_empty = chunks.iter().filter(|c| !c.keys.is_empty()).count();
+        let shards = Arc::clone(&self.shards);
+        let produced = self.pool.run_or_defer(
+            num_shards,
+            self.workers_for(non_empty),
+            move |s, may_block| {
+                let chunk = &chunks[s];
+                if chunk.keys.is_empty() {
+                    return Attempt::Ran(None);
+                }
+                let Some(mut filter) = write_shard(&shards[s], may_block) else {
+                    return Attempt::Later;
+                };
+                Attempt::Ran(Some(
+                    chunk
+                        .rows()
+                        .map(|(key, attrs)| op(&mut filter, key, attrs))
+                        .collect::<Vec<_>>(),
+                ))
+            },
+        );
+        let mut per_shard: Vec<std::vec::IntoIter<T>> = Vec::new();
+        per_shard.resize_with(num_shards, || Vec::new().into_iter());
+        for (s, outcomes) in produced {
+            per_shard[s] = outcomes.into_iter();
         }
-        results
+        // Every shard produced one outcome per routed row, in routed order.
+        route
             .into_iter()
-            .map(|r| r.expect("every row is routed to exactly one shard"))
+            .filter_map(|s| per_shard[s].next())
             .collect()
     }
 
     /// Batched insert: rows are routed to their shards and each shard absorbs its
-    /// rows in their relative input order under one write-lock acquisition, fanned out
-    /// over up to [`ShardedCcf::threads`] workers. Per-row outcomes come back in input
+    /// rows in their relative input order under one write-lock acquisition, on up to
+    /// [`ShardedCcf::threads`] threads. Per-row outcomes come back in input
     /// order, and the resulting filter state is identical to a sequential per-row
     /// [`ShardedCcf::insert`] loop.
     pub fn insert_batch<K, A>(&self, rows: &[(K, A)]) -> Vec<Result<InsertOutcome, InsertFailure>>
@@ -442,9 +528,11 @@ impl ShardedCcf {
         let _timer = self.instruments.insert_batch.latency.start_timer();
         self.instruments.insert_batch.keys.observe_len(rows.len());
         // Lower every key once; routing and the per-shard inserts share the material.
-        let lowered: Vec<u64> = rows.iter().map(|(k, _)| k.lower(&self.key_lower)).collect();
-        self.fan_out_write(&lowered, |filter, i| {
-            filter.insert_row_prehashed(lowered[i], rows[i].1.as_ref())
+        let lowered = rows
+            .iter()
+            .map(|(k, a)| (k.lower(&self.key_lower), a.as_ref()));
+        self.fan_out_write(lowered, |filter, key, attrs| {
+            filter.insert_row_prehashed(key, attrs)
         })
     }
 
@@ -463,9 +551,11 @@ impl ShardedCcf {
             .delete_row_batch
             .keys
             .observe_len(rows.len());
-        let lowered: Vec<u64> = rows.iter().map(|(k, _)| k.lower(&self.key_lower)).collect();
-        self.fan_out_write(&lowered, |filter, i| {
-            filter.delete_row_prehashed(lowered[i], rows[i].1.as_ref())
+        let lowered = rows
+            .iter()
+            .map(|(k, a)| (k.lower(&self.key_lower), a.as_ref()));
+        self.fan_out_write(lowered, |filter, key, attrs| {
+            filter.delete_row_prehashed(key, attrs)
         })
     }
 
@@ -481,8 +571,8 @@ impl ShardedCcf {
             .keys
             .observe_len(keys.len());
         let lowered = K::lower_batch(keys, &self.key_lower);
-        self.fan_out_write(&lowered, |filter, i| {
-            filter.delete_key_prehashed(lowered[i])
+        self.fan_out_write(lowered.iter().map(|&k| (k, &[][..])), |filter, key, _| {
+            filter.delete_key_prehashed(key)
         })
     }
 
@@ -508,7 +598,7 @@ impl ShardedCcf {
     }
 
     /// Serialize the whole service into a sealed snapshot image: a `"CSHS"` header
-    /// carrying the router seed, shard count and worker-thread cap, followed by each
+    /// carrying the router seed, shard count and per-batch thread cap, followed by each
     /// shard's own sealed [`AnyCcf::to_snapshot_bytes`] image, length-prefixed, in
     /// shard order. Reloading with [`ShardedCcf::from_snapshot_bytes`] yields a
     /// bit-identical service: same routing, same per-shard filters, same RNG streams.
@@ -520,7 +610,7 @@ impl ShardedCcf {
         w.put_u64(self.router.seed());
         w.put_usize(self.threads);
         w.put_usize(self.shards.len());
-        for shard in &self.shards {
+        for shard in self.shards.iter() {
             let image = shard.read().expect(POISONED).to_snapshot_bytes();
             w.put_len_bytes(&image);
         }

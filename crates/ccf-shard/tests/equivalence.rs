@@ -8,9 +8,19 @@
 //! * **Zero false negatives across growth** — with tiny `auto_grow` shards and
 //!   multi-threaded batch inserts, every inserted row stays queryable after the
 //!   per-shard doublings the overload forces.
+//! * **Shared-pool equivalence** — concurrent callers on two services sharing one
+//!   fan-out pool, and batches issued from inside a pool item (as the join bank
+//!   build does), produce exactly the answers of a sequential replay. Each runs on
+//!   pools of 0, 1 and 3 helpers, so the 1-CPU and 4-CPU shapes are covered on any
+//!   host.
 
-use ccf_core::{AnyCcf, CcfParams, ConditionalFilter, Predicate, VariantKind};
-use ccf_shard::{ShardRouter, ShardedCcf};
+use std::sync::Arc;
+
+use ccf_core::{
+    AnyCcf, CcfParams, ConditionalFilter, DeleteFailure, InsertFailure, InsertOutcome, Predicate,
+    VariantKind,
+};
+use ccf_shard::{FanOutPool, ShardRouter, ShardedCcf};
 use proptest::prelude::*;
 
 fn variant_of(ix: u8) -> VariantKind {
@@ -113,5 +123,179 @@ proptest! {
             let pred = Predicate::any(1).and_eq(0, attrs[0]);
             prop_assert!(service.query(*key, &pred), "row lost under its own predicate");
         }
+    }
+}
+
+/// Helper counts the shared-pool tests run on: the 1-, 2- and 4-CPU shapes.
+const HELPER_COUNTS: [usize; 3] = [0, 1, 3];
+
+type Row = (u64, [u64; 2]);
+
+fn pool_rows(seed: u64, n: u64) -> Vec<Row> {
+    (0..n)
+        .map(|i| {
+            let key = i.wrapping_mul(0x9E3779B97F4A7C15).rotate_left(23) ^ seed;
+            (key, [key % 5, key % 11])
+        })
+        .collect()
+}
+
+/// Everything one writer observes: per-batch insert outcomes, then row deletes,
+/// then key deletes.
+#[derive(Debug, PartialEq)]
+struct WriteLog {
+    inserts: Vec<Vec<Result<InsertOutcome, InsertFailure>>>,
+    row_deletes: Vec<Result<bool, DeleteFailure>>,
+    key_deletes: Vec<Result<bool, DeleteFailure>>,
+}
+
+/// One writer's program against a service: batched inserts in 128-row slices, then
+/// batched deletes of every fifth row and every seventh key.
+fn write_program(service: &ShardedCcf, rows: &[Row]) -> WriteLog {
+    let inserts = rows.chunks(128).map(|b| service.insert_batch(b)).collect();
+    let victims: Vec<Row> = rows.iter().copied().step_by(5).collect();
+    let keys: Vec<u64> = rows.iter().map(|(k, _)| *k).skip(1).step_by(7).collect();
+    WriteLog {
+        inserts,
+        row_deletes: service.delete_row_batch(&victims),
+        key_deletes: service.delete_key_batch(&keys),
+    }
+}
+
+/// One reader's answers: per 256-key batch, the query answers, then the contains
+/// answers.
+type Answers = Vec<Vec<bool>>;
+
+/// Query and contains answers over a mixed hit/miss stream, in 256-key batches.
+fn read_program(service: &ShardedCcf, rows: &[Row], salt: u64) -> Answers {
+    let probes: Vec<u64> = rows
+        .iter()
+        .map(|(k, _)| *k)
+        .chain((0..300u64).map(|i| (i ^ salt).wrapping_mul(0xD1B54A32D192ED03)))
+        .collect();
+    let pred = service.predicate().and_eq(0, salt % 5);
+    probes
+        .chunks(256)
+        .flat_map(|b| [service.query_batch(b, &pred), service.contains_key_batch(b)])
+        .collect()
+}
+
+fn pooled_service(kind: VariantKind, seed: u64, pool: &Arc<FanOutPool>) -> ShardedCcf {
+    ShardedCcf::new(kind, shard_params(seed).with_auto_grow(), 4)
+        .with_threads(4)
+        .with_pool(Arc::clone(pool))
+}
+
+fn sequential_service(kind: VariantKind, seed: u64) -> ShardedCcf {
+    ShardedCcf::new(kind, shard_params(seed).with_auto_grow(), 4).with_threads(1)
+}
+
+/// Readers per service in the shared-pool test.
+const READERS: u64 = 3;
+
+/// Everything observed of one service: its writer's log, each reader's answers, and
+/// the final snapshot bytes (taken at a thread cap of 1, which the header records).
+#[derive(Debug, PartialEq)]
+struct Observed {
+    writes: WriteLog,
+    reads: Vec<Answers>,
+    state: Vec<u8>,
+}
+
+/// Two services share one pool; one writer per service runs concurrently with the
+/// other, then three readers per service run concurrently. Every answer and the
+/// final snapshot bytes equal a sequential replay on unpooled, one-thread services.
+#[test]
+fn concurrent_callers_on_a_shared_pool_match_a_sequential_replay() {
+    let specs = [(VariantKind::Chained, 101u64), (VariantKind::Mixed, 202u64)];
+    let data: Vec<Vec<Row>> = specs
+        .iter()
+        .map(|&(_, seed)| pool_rows(seed, 700))
+        .collect();
+    let expected: Vec<Observed> = specs
+        .iter()
+        .zip(&data)
+        .map(|(&(kind, seed), rows)| {
+            let service = sequential_service(kind, seed);
+            Observed {
+                writes: write_program(&service, rows),
+                reads: (0..READERS)
+                    .map(|r| read_program(&service, rows, r))
+                    .collect(),
+                state: service.to_snapshot_bytes(),
+            }
+        })
+        .collect();
+    for helpers in HELPER_COUNTS {
+        let pool = FanOutPool::new(helpers);
+        let services: Vec<ShardedCcf> = specs
+            .iter()
+            .map(|&(kind, seed)| pooled_service(kind, seed, &pool))
+            .collect();
+        let writes: Vec<WriteLog> = std::thread::scope(|scope| {
+            let writers: Vec<_> = services
+                .iter()
+                .zip(&data)
+                .map(|(service, rows)| scope.spawn(move || write_program(service, rows)))
+                .collect();
+            writers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let reads: Vec<Vec<Answers>> = std::thread::scope(|scope| {
+            let readers: Vec<Vec<_>> = services
+                .iter()
+                .zip(&data)
+                .map(|(service, rows)| {
+                    (0..READERS)
+                        .map(|r| scope.spawn(move || read_program(service, rows, r)))
+                        .collect()
+                })
+                .collect();
+            readers
+                .into_iter()
+                .map(|per| per.into_iter().map(|h| h.join().unwrap()).collect())
+                .collect()
+        });
+        let observed: Vec<Observed> = services
+            .into_iter()
+            .zip(writes.into_iter().zip(reads))
+            .map(|(service, (writes, reads))| Observed {
+                writes,
+                reads,
+                state: service.with_threads(1).to_snapshot_bytes(),
+            })
+            .collect();
+        assert_eq!(observed, expected, "helpers = {helpers}");
+    }
+}
+
+/// Pool items that themselves issue sharded batches on the same pool — the shape of
+/// the join bank build — finish with the answers of a sequential replay.
+#[test]
+fn nested_batches_inside_pool_items_match_a_sequential_replay() {
+    const TABLES: u64 = 5;
+    let expected: Vec<(WriteLog, Answers)> = (0..TABLES)
+        .map(|t| {
+            let rows = pool_rows(t, 500);
+            let service = sequential_service(VariantKind::Chained, t);
+            (
+                write_program(&service, &rows),
+                read_program(&service, &rows, t),
+            )
+        })
+        .collect();
+    for helpers in HELPER_COUNTS {
+        let pool = FanOutPool::new(helpers);
+        let inner = Arc::clone(&pool);
+        let built = pool.run(TABLES as usize, 4, move |t| {
+            let t = t as u64;
+            let rows = pool_rows(t, 500);
+            let service = pooled_service(VariantKind::Chained, t, &inner);
+            Some((
+                write_program(&service, &rows),
+                read_program(&service, &rows, t),
+            ))
+        });
+        let built: Vec<_> = built.into_iter().map(|(_, r)| r).collect();
+        assert_eq!(built, expected, "helpers = {helpers}");
     }
 }
